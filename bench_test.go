@@ -132,26 +132,19 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleInsertion pins the payoff of the clone-free probe
-// refactor on the probe-heaviest scheduler under the Insertion policy:
-// the speculative (journaled, rolled-back) probe path against the
-// deep-clone-per-probe reference it replaced. Run with -benchmem; the
-// acceptance bar is >=5x fewer allocs/op for the speculative mode, and
-// in practice steady-state probes are allocation-free.
+// BenchmarkScheduleInsertion measures the probe-heaviest scheduler
+// under the Insertion policy, where every probe runs journaled on the
+// real state and is rolled back. Run with -benchmem: steady-state
+// probes are allocation-free (TestProbeAllocPin in internal/sched).
 func BenchmarkScheduleInsertion(b *testing.B) {
-	for _, mode := range []sched.ProbeMode{sched.SpeculativeProbe, sched.CloneProbe} {
-		b.Run(mode.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(12))
-			p := benchProblem(rng, 10, 1.0, timeline.Insertion)
-			p.Probe = mode
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ftsa.Schedule(p, 2, rand.New(rand.NewSource(7))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(12))
+	p := benchProblem(rng, 10, 1.0, timeline.Insertion)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ftsa.Schedule(p, 2, rand.New(rand.NewSource(7))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

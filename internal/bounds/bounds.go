@@ -6,24 +6,31 @@
 //     times through the DAG, ignoring communication — no schedule can
 //     beat the fastest possible execution of the longest chain;
 //   - the work bound: the total minimum work divided by the number of
-//     processors — even perfect load balancing cannot beat it;
-//   - for fault-tolerant schedules with ε+1 replicas, the replicated
-//     work bound multiplies the work by the replication degree (active
-//     replication executes every copy).
+//     processors — even perfect load balancing cannot beat it (for
+//     fault-tolerant schedules with ε+1 replicas, active replication
+//     executes every copy, so the bound scales by ε+1).
 //
 //caft:deterministic
 package bounds
 
-import (
-	"caft/internal/dag"
-	"caft/internal/sched"
-)
+import "caft/internal/sched"
 
 // CriticalPath returns the longest path of per-task minimum execution
-// times, ignoring communications.
+// times, ignoring communications: the largest bottom level with a zero
+// unit communication cost. It panics on a cyclic graph.
 func CriticalPath(p *sched.Problem) float64 {
+	c, err := p.G.Compile()
+	if err != nil {
+		panic(err)
+	}
 	minExec := minPerTask(p)
-	return p.G.CriticalPathLen(minExec, func(dag.Edge) float64 { return 0 })
+	best := 0.0
+	for _, v := range c.BottomLevelsInto(make([]float64, len(minExec)), minExec, 0) {
+		if v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // Work returns sum of minimum execution times over all tasks divided by
@@ -36,12 +43,6 @@ func Work(p *sched.Problem) float64 {
 		s += c
 	}
 	return s / float64(p.Plat.M)
-}
-
-// ReplicatedWork returns the load-balance bound when every task is
-// executed eps+1 times.
-func ReplicatedWork(p *sched.Problem, eps int) float64 {
-	return Work(p) * float64(eps+1)
 }
 
 // Latency returns the largest applicable lower bound on the fault-free

@@ -138,10 +138,9 @@ func (c *Compiled) InDegree(t TaskID) int { return int(c.predOff[t+1] - c.predOf
 func (c *Compiled) OutDegree(t TaskID) int { return int(c.succOff[t+1] - c.succOff[t]) }
 
 // TopLevelsInto computes tℓ(t) for every task into dst (which must have
-// length NumTasks) and returns it, with edge costs volume*unitDelay. It
-// replays DAG.TopLevels exactly — same traversal order, same float
-// arithmetic — so results are bit-identical to the [][]Edge path; it
-// just allocates nothing.
+// length NumTasks) and returns it, with edge costs volume*unitDelay:
+// the length of the longest path from an entry task to t, excluding t's
+// own cost (paper §5). Entry tasks have top level 0. Allocation-free.
 //
 //caft:zeroalloc
 func (c *Compiled) TopLevelsInto(dst, comp []float64, unitDelay float64) []float64 {
@@ -161,7 +160,9 @@ func (c *Compiled) TopLevelsInto(dst, comp []float64, unitDelay float64) []float
 
 // BottomLevelsInto computes bℓ(t) for every task into dst (which must
 // have length NumTasks) and returns it, with edge costs
-// volume*unitDelay. Bit-identical to DAG.BottomLevels, allocation-free.
+// volume*unitDelay: the length of the longest path from t to an exit
+// task, including t's own cost (paper §5). Exit tasks have bottom level
+// equal to their cost. Allocation-free.
 //
 //caft:zeroalloc
 func (c *Compiled) BottomLevelsInto(dst, comp []float64, unitDelay float64) []float64 {

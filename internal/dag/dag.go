@@ -257,62 +257,6 @@ func (g *DAG) Depths() []int {
 	return depth
 }
 
-// CriticalPathLen returns the length of the longest path through the
-// graph where each task t costs comp[t] and each edge (i,j) costs
-// comm(i,j). Used for lower bounds and priority computations.
-func (g *DAG) CriticalPathLen(comp []float64, comm func(Edge) float64) float64 {
-	bl := g.BottomLevels(comp, comm)
-	best := 0.0
-	for _, v := range bl {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// TopLevels returns tℓ(t) for every task: the length of the longest path
-// from an entry node to t, excluding t's own cost (paper §5). Entry
-// tasks have top level 0.
-func (g *DAG) TopLevels(comp []float64, comm func(Edge) float64) []float64 {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	tl := make([]float64, g.NumTasks())
-	for _, t := range order {
-		for _, e := range g.pred[t] {
-			cand := tl[e.From] + comp[e.From] + comm(e)
-			if cand > tl[t] {
-				tl[t] = cand
-			}
-		}
-	}
-	return tl
-}
-
-// BottomLevels returns bℓ(t) for every task: the length of the longest
-// path from t to an exit node, including t's own cost (paper §5). Exit
-// tasks have bottom level equal to their cost.
-func (g *DAG) BottomLevels(comp []float64, comm func(Edge) float64) []float64 {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	bl := make([]float64, g.NumTasks())
-	for i := len(order) - 1; i >= 0; i-- {
-		t := order[i]
-		bl[t] = comp[t]
-		for _, e := range g.succ[t] {
-			cand := comp[t] + comm(e) + bl[e.To]
-			if cand > bl[t] {
-				bl[t] = cand
-			}
-		}
-	}
-	return bl
-}
-
 // Edges returns all edges in (From, To) lexicographic order.
 func (g *DAG) Edges() []Edge {
 	out := make([]Edge, 0, g.edges)

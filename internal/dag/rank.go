@@ -2,10 +2,9 @@ package dag
 
 // Ranker maintains upward ranks (bottom levels: rank(t) = node(t) +
 // max over live successors s of vol(t,s)*unitComm + rank(s)) over a
-// compiled view, incrementally. After a full Reset, point mutations —
-// disabling a task whose replicas are all lost, re-enabling it, or
-// changing a node cost — mark only the mutated task dirty; Repair then
-// recomputes just the "dirty cone": the mutated tasks plus those
+// compiled view, incrementally. After a full Reset, disabling a task
+// whose replicas are all lost marks only that task dirty; Repair then
+// recomputes just the "dirty cone": the disabled tasks plus those
 // ancestors whose rank actually changes, visited deepest-first so each
 // task is recomputed at most once. A crash in the online rescheduler
 // therefore re-ranks O(cone) tasks instead of O(v+e) for the world.
@@ -48,8 +47,8 @@ func NewRanker(c *Compiled) *Ranker {
 }
 
 // Reset loads node costs (copied; len must be NumTasks) and the unit
-// communication cost, re-enables every task, and recomputes all ranks
-// in one O(v+e) reverse-topological sweep.
+// communication cost, re-enables every task, and recomputes all ranks:
+// with nothing disabled they are the compiled view's bottom levels.
 //
 //caft:zeroalloc
 func (r *Ranker) Reset(node []float64, unitComm float64) {
@@ -60,11 +59,7 @@ func (r *Ranker) Reset(node []float64, unitComm float64) {
 		r.inHeap[i] = false
 	}
 	r.heap = r.heap[:0]
-	topo := r.c.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		t := topo[i]
-		r.rank[t] = r.compute(TaskID(t))
-	}
+	r.c.BottomLevelsInto(r.rank, r.node, unitComm)
 }
 
 // compute returns the rank of t from its successors' current ranks.
@@ -94,11 +89,6 @@ func (r *Ranker) compute(t TaskID) float64 {
 //caft:zeroalloc
 func (r *Ranker) Rank(t TaskID) float64 { return r.rank[t] }
 
-// Disabled reports whether t is currently disabled.
-//
-//caft:zeroalloc
-func (r *Ranker) Disabled(t TaskID) bool { return r.disabled[t] }
-
 // Disable marks t dead: its rank becomes 0 and it stops contributing
 // to predecessors. Takes effect at the next Repair.
 //
@@ -106,26 +96,6 @@ func (r *Ranker) Disabled(t TaskID) bool { return r.disabled[t] }
 func (r *Ranker) Disable(t TaskID) {
 	if !r.disabled[t] {
 		r.disabled[t] = true
-		r.push(int32(t))
-	}
-}
-
-// Enable reverses Disable. Takes effect at the next Repair.
-//
-//caft:zeroalloc
-func (r *Ranker) Enable(t TaskID) {
-	if r.disabled[t] {
-		r.disabled[t] = false
-		r.push(int32(t))
-	}
-}
-
-// SetNodeCost updates t's node cost. Takes effect at the next Repair.
-//
-//caft:zeroalloc
-func (r *Ranker) SetNodeCost(t TaskID, cost float64) {
-	if r.node[t] != cost {
-		r.node[t] = cost
 		r.push(int32(t))
 	}
 }

@@ -115,14 +115,13 @@ func placeWithMST(st *sched.State, t dag.TaskID, copy, proc int) (sched.Replica,
 		return sched.Replica{}, err
 	}
 	if crit, ok := criticalPred(st, proc, sources, base.Start); ok {
-		if cand, dupFinish, err2 := probeWithDuplicate(st, t, copy, proc, crit); err2 == nil && cand.Finish < base.Finish {
+		if cand, err2 := probeWithDuplicate(st, t, copy, proc, crit); err2 == nil && cand.Finish < base.Finish {
 			// Commit the duplicate, then the replica; FullSources now
 			// includes the duplicate, so the intra rule kicks in.
 			dupCopy := len(st.Reps[crit])
 			if _, err := st.PlaceReplica(crit, dupCopy, proc, st.FullSources(crit)); err != nil {
 				return sched.Replica{}, err
 			}
-			_ = dupFinish
 			return st.PlaceReplica(t, copy, proc, st.FullSources(t))
 		}
 	}
@@ -156,39 +155,20 @@ func criticalPred(st *sched.State, proc int, sources []sched.SourceSet, start fl
 
 // probeWithDuplicate simulates duplicating pred onto proc followed by
 // the replica placement and returns the resulting replica. The two-step
-// what-if runs inside one speculative transaction on the real state —
+// what-if runs inside one speculative transaction on the real state:
 // the duplicate's record is visible to the second placement and both
-// are rolled back — except under the CloneProbe reference mode, which
-// keeps the historical clone-and-place path.
-func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID) (sched.Replica, float64, error) {
-	if st.P.Probe == sched.CloneProbe {
-		c := st.Clone()
-		dupCopy := len(c.Reps[pred])
-		dup, err := c.PlaceReplica(pred, dupCopy, proc, c.FullSources(pred))
-		if err != nil {
-			return sched.Replica{}, 0, err
-		}
-		rep, err := c.PlaceReplica(t, copy, proc, c.FullSources(t))
-		if err != nil {
-			return sched.Replica{}, 0, err
-		}
-		return rep, dup.Finish, nil
-	}
+// are rolled back.
+func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID) (sched.Replica, error) {
 	var rep sched.Replica
-	var dupFinish float64
 	err := st.Speculate(func() error {
-		dup, err := st.PlaceReplica(pred, len(st.Reps[pred]), proc, st.FullSources(pred))
-		if err != nil {
+		if _, err := st.PlaceReplica(pred, len(st.Reps[pred]), proc, st.FullSources(pred)); err != nil {
 			return err
 		}
-		dupFinish = dup.Finish
+		var err error
 		rep, err = st.PlaceReplica(t, copy, proc, st.FullSources(t))
 		return err
 	})
-	if err != nil {
-		return sched.Replica{}, 0, err
-	}
-	return rep, dupFinish, nil
+	return rep, err
 }
 
 type procPressure struct {

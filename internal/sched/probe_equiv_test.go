@@ -1,0 +1,123 @@
+package sched_test
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"caft/internal/core"
+	"caft/internal/dag"
+	"caft/internal/gen"
+	"caft/internal/platform"
+	"caft/internal/sched"
+	"caft/internal/sched/ftbar"
+	"caft/internal/sched/ftsa"
+	"caft/internal/sched/heft"
+	"caft/internal/timeline"
+)
+
+// TestSpeculativeProbeEquivalence pins ProbeReplica against the
+// deep-clone oracle on states real schedulers build. For every
+// scheduler, both reservation policies and three seeds, it rebuilds the
+// schedule's prefix ending at each committed replica (every record with
+// a Seq up to the replica's) with StateOf, then probes the next copy of
+// that replica's task on every processor, with FullSources both as is
+// and with AllSend set. Each probe must return what PlaceReplica
+// returns on a clone, error parity included, and leave the state's
+// fingerprint unchanged.
+func TestSpeculativeProbeEquivalence(t *testing.T) {
+	schedulers := []struct {
+		name string
+		run  func(p *sched.Problem) (*sched.Schedule, error)
+	}{
+		{"heft", func(p *sched.Problem) (*sched.Schedule, error) {
+			return heft.Schedule(p, rand.New(rand.NewSource(7)))
+		}},
+		{"ftsa", func(p *sched.Problem) (*sched.Schedule, error) {
+			return ftsa.Schedule(p, 2, rand.New(rand.NewSource(7)))
+		}},
+		{"ftbar", func(p *sched.Problem) (*sched.Schedule, error) {
+			return ftbar.Schedule(p, 2, rand.New(rand.NewSource(7)))
+		}},
+		{"caft", func(p *sched.Problem) (*sched.Schedule, error) {
+			return core.Schedule(p, 2, rand.New(rand.NewSource(7)))
+		}},
+		{"caft-batch", func(p *sched.Problem) (*sched.Schedule, error) {
+			return core.ScheduleBatch(p, 1, 4, rand.New(rand.NewSource(7)))
+		}},
+	}
+	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			params := gen.RandomParams{MinTasks: 20, MaxTasks: 30, MinDegree: 1, MaxDegree: 3, MinVolume: 50, MaxVolume: 150}
+			g := gen.RandomLayered(rng, params)
+			plat := platform.NewRandom(rng, 6, 0.5, 1.0)
+			exec := platform.GenExecForGranularity(rng, g, plat, 1.0, platform.DefaultHeterogeneity)
+			for _, s := range schedulers {
+				p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: pol}
+				full, err := s.run(p)
+				if err != nil {
+					t.Fatalf("%s/%v/seed%d: %v", s.name, pol, seed, err)
+				}
+				probes := 0
+				for _, reps := range full.Reps {
+					for _, r := range reps {
+						probes += checkPrefixProbes(t, full, r.Seq, r.Task)
+					}
+				}
+				if probes == 0 {
+					t.Fatalf("%s/%v/seed%d: no successful probe to compare", s.name, pol, seed)
+				}
+			}
+		}
+	}
+}
+
+// checkPrefixProbes rebuilds the prefix of full holding every record
+// with Seq <= seq and checks every probe of the next copy of task on it
+// against the clone oracle. It returns the number of probes that
+// succeeded.
+func checkPrefixProbes(t *testing.T, full *sched.Schedule, seq int32, task dag.TaskID) int {
+	t.Helper()
+	prefix := &sched.Schedule{P: full.P, Reps: make([][]sched.Replica, len(full.Reps))}
+	for tk, reps := range full.Reps {
+		for _, r := range reps {
+			if r.Seq <= seq {
+				prefix.Reps[tk] = append(prefix.Reps[tk], r)
+			}
+		}
+	}
+	for _, c := range full.Comms {
+		if c.Seq <= seq {
+			prefix.Comms = append(prefix.Comms, c)
+		}
+	}
+	st, err := sched.StateOf(prefix)
+	if err != nil {
+		t.Fatalf("StateOf(prefix to seq %d): %v", seq, err)
+	}
+	ok := 0
+	next := len(st.Reps[task])
+	for _, allSend := range []bool{false, true} {
+		sources := st.FullSources(task)
+		for i := range sources {
+			sources[i].AllSend = allSend
+		}
+		for proc := 0; proc < full.P.Plat.M; proc++ {
+			before := sched.Fingerprint(st)
+			rep, err := st.ProbeReplica(task, next, proc, sources)
+			if !reflect.DeepEqual(before, sched.Fingerprint(st)) {
+				t.Fatalf("seq %d: probe of task %d on P%d (allSend %v) mutated the state", seq, task, proc, allSend)
+			}
+			want, wantErr := st.Clone().PlaceReplica(task, next, proc, sources)
+			if (err != nil) != (wantErr != nil) || rep != want {
+				t.Fatalf("seq %d: probe of task %d on P%d (allSend %v) = (%+v, %v), clone oracle (%+v, %v)",
+					seq, task, proc, allSend, rep, err, want, wantErr)
+			}
+			if err == nil {
+				ok++
+			}
+		}
+	}
+	return ok
+}

@@ -109,16 +109,6 @@ func (s *Schedule) ReplicaCount() int {
 	return n
 }
 
-// FindReplica returns the replica (t, copy) or nil.
-func (s *Schedule) FindReplica(t dag.TaskID, copy int) *Replica {
-	for i := range s.Reps[t] {
-		if s.Reps[t][i].Copy == copy {
-			return &s.Reps[t][i]
-		}
-	}
-	return nil
-}
-
 // Validate checks that the schedule is well formed and obeys the
 // communication model:
 //
@@ -229,7 +219,7 @@ func (v *Validator) Validate(s *Schedule) error {
 	for t := range s.Reps {
 		for i, r := range s.Reps[t] {
 			if cell := int(v.repOff[t]) + r.Copy; r.Copy >= 0 && v.repPtr[cell] < 0 {
-				v.repPtr[cell] = int32(i) // first match wins, as FindReplica scans
+				v.repPtr[cell] = int32(i) // first match in record order wins
 			}
 		}
 	}
@@ -305,8 +295,7 @@ func (v *Validator) Validate(s *Schedule) error {
 	return v.validateCompute(s)
 }
 
-// replica is the dense counterpart of Schedule.FindReplica: the first
-// replica recorded as (t, copy), or nil.
+// replica returns the first replica recorded as (t, copy), or nil.
 //
 //caft:zeroalloc
 func (v *Validator) replica(s *Schedule, t dag.TaskID, copy int) *Replica {

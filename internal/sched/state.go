@@ -21,12 +21,10 @@ import (
 // run the real placement code on the real state while a journal records
 // every timeline reservation, replica/communication record and sequence
 // number, and the journal is rolled back before returning — no state is
-// cloned. Under the Append policy single-shot probes take an even
-// cheaper special case: a timeline's whole state under Append is its
-// ready time, so the probe runs on a flat overlay of 3m+L ready times.
-// The pre-journal reference path, which deep-clones the state for every
-// probe, is kept behind Problem.Probe = CloneProbe for equivalence
-// testing; both paths produce bit-identical schedules.
+// cloned. Under the Append policy single-shot probes take a cheaper
+// special case: a timeline's whole state under Append is its ready
+// time, so the probe runs on a flat overlay of 3m+L ready times. The
+// tests check both against a deep clone of the state.
 //
 //caft:confined
 type State struct {
@@ -42,13 +40,16 @@ type State struct {
 	Comms  []Comm
 	seq    int32
 
-	// Append-policy probe overlay: earliest/reserve consult ready[id]
-	// instead of the (shared, untouched) timelines.
+	// overlay marks the Append-policy probe state: earliest/reserve
+	// consult ready[id] instead of the (shared, untouched) timelines,
+	// and placements are not recorded in Reps/Comms. It is kept because
+	// the journaled probe is slower under Append: on caftbench's
+	// schedule-scale workload (6400 and 12800 tasks) append throughput
+	// fell 64.8k -> 50.8k tasks/s and p50 rose ~241 -> ~281 ms in 5 of
+	// 5 alternating pairs (a rerun on a 2-vCPU Intel Xeon: 50.6k ->
+	// 45.5k tasks/s, 258 -> 291 ms, again 5 of 5).
 	overlay bool
 	ready   []float64
-	// noRecord marks throwaway probe states (the overlay and CloneProbe
-	// clones): placements on them are not recorded in Reps/Comms.
-	noRecord bool
 
 	// Speculation journal (see Speculate): while spec > 0, reserve and
 	// the Cancel* methods log every timeline mutation into tlog and
@@ -139,26 +140,6 @@ func (st *State) recvID(proc int) int { return 2*st.m + proc }
 //caft:zeroalloc
 func (st *State) linkID(l int) int { return 3*st.m + l }
 
-// Clone deep-copies the state. Scratch buffers and the speculation
-// journal are not carried over: the clone starts with a clean journal.
-func (st *State) Clone() *State {
-	c := &State{P: st.P, net: st.net, clique: st.clique, m: st.m, seq: st.seq, floor: st.floor}
-	c.tls = make([]timeline.Timeline, len(st.tls))
-	for i := range st.tls {
-		c.tls[i] = *st.tls[i].Clone()
-	}
-	c.Reps = make([][]Replica, len(st.Reps))
-	for t := range st.Reps {
-		c.Reps[t] = append([]Replica(nil), st.Reps[t]...)
-	}
-	c.Comms = append([]Comm(nil), st.Comms...)
-	if st.overlay {
-		c.overlay, c.noRecord = true, st.noRecord
-		c.ready = append([]float64(nil), st.ready...)
-	}
-	return c
-}
-
 // overlayForProbe returns the reusable Append-policy probe overlay: a
 // state sharing this one's timelines and records read-only, with
 // earliest/reserve redirected to a private copy of the ready times.
@@ -167,7 +148,7 @@ func (st *State) Clone() *State {
 func (st *State) overlayForProbe() *State {
 	ps := st.probeScratch
 	if ps == nil {
-		ps = &State{overlay: true, noRecord: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
+		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
 		st.probeScratch = ps
 	}
 	ps.P, ps.net, ps.clique, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.clique, st.m, st.tls, st.Reps, st.seq
@@ -490,7 +471,7 @@ func (st *State) ProbeComm(src, dst int, readyAt, volume float64) (start, finish
 }
 
 // placeComm reserves the transfer and records it (recording is skipped
-// on probe-overlay and clone-probe states). The caller passes the source
+// on probe-overlay states). The caller passes the source
 // replica and destination task/copy for bookkeeping.
 //
 //caft:zeroalloc
@@ -519,7 +500,7 @@ func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volu
 			st.reserve(id, c.Start, c.Dur, c.Seq)
 		}
 	}
-	if !st.noRecord {
+	if !st.overlay {
 		st.Comms = append(st.Comms, c)
 	}
 	return c
@@ -623,7 +604,7 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 	st.seq++
 	rep := Replica{Task: t, Copy: copy, Proc: proc, Start: start, Finish: start + exec, Seq: st.seq}
 	st.reserve(st.computeID(proc), start, exec, rep.Seq)
-	if !st.noRecord {
+	if !st.overlay {
 		st.Reps[t] = append(st.Reps[t], rep)
 		if st.spec > 0 {
 			st.rlog = append(st.rlog, repUndo{task: t})
@@ -633,19 +614,12 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 }
 
 // ProbeReplica simulates PlaceReplica without any lasting mutation of
-// the state and returns the resulting replica. Under the default
-// SpeculativeProbe mode the placement runs journaled on the real state
-// and is rolled back (with the Append-policy ready-time overlay as the
-// cheap special case); under CloneProbe it runs on a deep clone — the
-// reference implementation the speculative path is tested against.
+// the state and returns the resulting replica. The placement runs
+// journaled on the real state and is rolled back, or, under the Append
+// policy, on the ready-time overlay.
 //
 //caft:zeroalloc
 func (st *State) ProbeReplica(t dag.TaskID, copy, proc int, sources []SourceSet) (Replica, error) {
-	if st.P.Probe == CloneProbe && !st.overlay {
-		c := st.Clone() //caft:alloc-ok CloneProbe reference path, kept for equivalence testing; the journaled probe allocates nothing
-		c.noRecord = true
-		return c.PlaceReplica(t, copy, proc, sources)
-	}
 	if st.P.Policy == timeline.Append || st.overlay {
 		return st.overlayForProbe().PlaceReplica(t, copy, proc, sources)
 	}

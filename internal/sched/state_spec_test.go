@@ -13,30 +13,6 @@ import (
 	"caft/internal/timeline"
 )
 
-// fingerprint captures everything a probe must leave untouched: every
-// timeline's interval list and ready time, the replica and
-// communication records, and the sequence counter.
-type stateFP struct {
-	ivs   [][]timeline.Interval
-	ready []float64
-	reps  [][]Replica
-	comms []Comm
-	seq   int32
-}
-
-func fingerprint(st *State) stateFP {
-	fp := stateFP{seq: st.seq}
-	for i := range st.tls {
-		fp.ivs = append(fp.ivs, append([]timeline.Interval(nil), st.tls[i].Intervals()...))
-		fp.ready = append(fp.ready, st.tls[i].Ready())
-	}
-	for t := range st.Reps {
-		fp.reps = append(fp.reps, append([]Replica(nil), st.Reps[t]...))
-	}
-	fp.comms = append([]Comm(nil), st.Comms...)
-	return fp
-}
-
 // randomProblem builds a small random instance under the given policy.
 func randomProblem(rng *rand.Rand, m int, pol timeline.Policy) *Problem {
 	params := gen.RandomParams{MinTasks: 15, MaxTasks: 25, MinDegree: 1, MaxDegree: 3, MinVolume: 50, MaxVolume: 150}
@@ -85,10 +61,11 @@ func growState(t *testing.T, st *State, eps int, probe func(tid dag.TaskID, sour
 	}
 }
 
-// Property: under both policies, a speculative probe returns exactly
-// what the deep-clone reference probe returns, and leaves no trace on
-// the state — intervals, gap indexes, ready times, records or sequence
-// numbers.
+// Property: under both policies, a probe returns exactly what the same
+// placement on a deep clone returns, and leaves no trace on the state —
+// intervals, gap indexes, ready times, records or sequence numbers. The
+// same holds for FTBAR's two-step what-if: Speculate over duplicating a
+// predecessor onto the processor and then placing the replica.
 func TestQuickProbeMatchesCloneReference(t *testing.T) {
 	f := func(seed int64) bool {
 		ok := true
@@ -97,20 +74,23 @@ func TestQuickProbeMatchesCloneReference(t *testing.T) {
 			p := randomProblem(rng, 4, pol)
 			st := NewState(p)
 			growState(t, st, 1, func(tid dag.TaskID, sources []SourceSet) {
-				before := fingerprint(st)
+				before := Fingerprint(st)
 				for proc := 0; proc < p.Plat.M; proc++ {
 					rep, err := st.ProbeReplica(tid, 0, proc, sources)
-					if !reflect.DeepEqual(before, fingerprint(st)) {
+					if !reflect.DeepEqual(before, Fingerprint(st)) {
 						t.Logf("pol %v: probe of task %d on P%d mutated the state", pol, tid, proc)
 						ok = false
 						return
 					}
-					ref := st.Clone()
-					ref.noRecord = true
-					refRep, refErr := ref.PlaceReplica(tid, 0, proc, sources)
+					refRep, refErr := st.Clone().PlaceReplica(tid, 0, proc, sources)
 					if (err != nil) != (refErr != nil) || rep != refRep {
 						t.Logf("pol %v: probe of task %d on P%d = (%+v, %v), clone reference (%+v, %v)",
 							pol, tid, proc, rep, err, refRep, refErr)
+						ok = false
+						return
+					}
+					if !speculateMatchesClone(t, st, tid, proc) || !reflect.DeepEqual(before, Fingerprint(st)) {
+						t.Logf("pol %v: duplicate-then-place what-if of task %d on P%d diverged or left residue", pol, tid, proc)
 						ok = false
 						return
 					}
@@ -134,6 +114,42 @@ func TestQuickProbeMatchesCloneReference(t *testing.T) {
 	}
 }
 
+// speculateMatchesClone runs FTBAR's Minimize-Start-Time what-if —
+// duplicate the first predecessor of tid without a replica on proc
+// onto proc, then place tid there — inside Speculate and on a clone,
+// and reports whether both give the same replicas and error parity.
+func speculateMatchesClone(t *testing.T, st *State, tid dag.TaskID, proc int) bool {
+	t.Helper()
+	pred := dag.TaskID(-1)
+	for _, e := range st.P.G.Pred(tid) {
+		if !st.ProcsOf(e.From)[proc] {
+			pred = e.From
+			break
+		}
+	}
+	if pred < 0 {
+		return true
+	}
+	twoSteps := func(s *State) (dup, rep Replica, err error) {
+		if dup, err = s.PlaceReplica(pred, len(s.Reps[pred]), proc, s.FullSources(pred)); err != nil {
+			return
+		}
+		rep, err = s.PlaceReplica(tid, 0, proc, s.FullSources(tid))
+		return
+	}
+	var dup, rep Replica
+	err := st.Speculate(func() (err error) {
+		dup, rep, err = twoSteps(st)
+		return err
+	})
+	refDup, refRep, refErr := twoSteps(st.Clone())
+	if (err != nil) != (refErr != nil) || dup != refDup || rep != refRep {
+		t.Logf("speculated (%+v, %+v, %v), clone reference (%+v, %+v, %v)", dup, rep, err, refDup, refRep, refErr)
+		return false
+	}
+	return true
+}
+
 // Speculate must roll back multi-step placements exactly, on success,
 // on error, and when nested.
 func TestSpeculateRollsBackExactly(t *testing.T) {
@@ -142,7 +158,7 @@ func TestSpeculateRollsBackExactly(t *testing.T) {
 		p := randomProblem(rng, 4, pol)
 		st := NewState(p)
 		growState(t, st, 1, nil)
-		before := fingerprint(st)
+		before := Fingerprint(st)
 
 		// Two dependent placements: an extra replica of an entry task,
 		// then an extra replica of one of its successors fed by it. Find
@@ -180,7 +196,7 @@ func TestSpeculateRollsBackExactly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pol %v: %v", pol, err)
 		}
-		if !reflect.DeepEqual(before, fingerprint(st)) {
+		if !reflect.DeepEqual(before, Fingerprint(st)) {
 			t.Fatalf("pol %v: Speculate left residue", pol)
 		}
 		// Error path: a failing placement inside Speculate still rolls
@@ -195,7 +211,7 @@ func TestSpeculateRollsBackExactly(t *testing.T) {
 		if spErr == nil {
 			t.Fatalf("pol %v: duplicate-processor placement accepted", pol)
 		}
-		if !reflect.DeepEqual(before, fingerprint(st)) {
+		if !reflect.DeepEqual(before, Fingerprint(st)) {
 			t.Fatalf("pol %v: failing Speculate left residue", pol)
 		}
 	}
@@ -274,45 +290,36 @@ func TestProcsOfSecondCallInvalidatesFirst(t *testing.T) {
 	}
 }
 
-// The acceptance pin of the speculative-probe refactor: an
-// Insertion-policy probe through the journal must allocate at least 5x
-// less than the clone-per-probe reference (in practice it is
-// allocation-free in steady state).
-func TestInsertionProbeAllocPin(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := randomProblem(rng, 6, timeline.Insertion)
-	st := NewState(p)
-	last := dag.TaskID(p.G.NumTasks() - 1)
-	for task := 0; task < int(last); task++ {
-		tid := dag.TaskID(task)
-		sources := st.FullSources(tid)
-		for k, proc := 0, 0; k < 2; k, proc = k+1, proc+1 {
-			if _, err := st.PlaceReplica(tid, k, proc+int(tid)%3, sources); err != nil {
-				t.Fatal(err)
+// TestProbeAllocPin pins the steady-state probe of both policies —
+// the journaled probe under Insertion and the ready-time overlay under
+// Append — at (near) zero allocations per call.
+func TestProbeAllocPin(t *testing.T) {
+	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
+		rng := rand.New(rand.NewSource(11))
+		p := randomProblem(rng, 6, pol)
+		st := NewState(p)
+		last := dag.TaskID(p.G.NumTasks() - 1)
+		for task := 0; task < int(last); task++ {
+			tid := dag.TaskID(task)
+			sources := st.FullSources(tid)
+			for k, proc := 0, 0; k < 2; k, proc = k+1, proc+1 {
+				if _, err := st.PlaceReplica(tid, k, proc+int(tid)%3, sources); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	sources := st.FullSources(last)
-	if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil { // warm up scratch + journal
-		t.Fatal(err)
-	}
-	spec := testing.AllocsPerRun(100, func() {
-		if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil {
+		sources := st.FullSources(last)
+		if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil { // warm up scratch + journal
 			t.Fatal(err)
 		}
-	})
-	p.Probe = CloneProbe
-	clone := testing.AllocsPerRun(100, func() {
-		if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: allocs/probe %.1f", pol, allocs)
+		if allocs > 2 {
+			t.Errorf("%v: probe allocates %.1f per call, want ~0", pol, allocs)
 		}
-	})
-	p.Probe = SpeculativeProbe
-	t.Logf("allocs/probe: speculative %.1f, clone reference %.1f", spec, clone)
-	if spec > 2 {
-		t.Errorf("speculative probe allocates %.1f per call, want ~0", spec)
-	}
-	if 5*spec > clone {
-		t.Errorf("speculative probe (%.1f allocs) is not >=5x leaner than the clone path (%.1f allocs)", spec, clone)
 	}
 }

@@ -3,10 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
 
 // distinctReqs returns n distinct small requests (seed-varied, no
@@ -250,5 +255,56 @@ func TestDiskIgnoresForeignAndCorruptFiles(t *testing.T) {
 	}
 	if got, ok := d.get(hashKey{a: 1, b: 2}); !ok || !bytes.Equal(got, []byte("resp")) {
 		t.Fatal("put/get after corrupt boot failed")
+	}
+}
+
+// A disk-tier write failure must not reach the client: the response is
+// the same 200 with the same bytes, served from memory, and the failure
+// shows up as diskErrors in /statsz.
+func TestDiskPutErrorCountedNotServed(t *testing.T) {
+	ref, _ := newTestServer(t, Config{Workers: 1})
+	srv, svc := newTestServer(t, Config{Workers: 1, DiskDir: t.TempDir()})
+	svc.disk.mu.Lock()
+	svc.disk.active.Close() // every later append fails
+	svc.disk.mu.Unlock()
+
+	post := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/schedule", "application/json", strings.NewReader(quickJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		return body
+	}
+	if want, got := post(ref.URL), post(srv.URL); !bytes.Equal(got, want) {
+		t.Fatal("response bytes differ from a disk-less node's after a failed disk write")
+	}
+
+	// The worker persists after waking the waiters, so poll for it.
+	var st StatsSnapshot
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		resp, err := http.Get(srv.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DiskErrors > 0 {
+			break
+		}
+	}
+	if st.DiskErrors != 1 || st.DiskEntries != 0 {
+		t.Fatalf("statsz diskErrors=%d diskEntries=%d, want 1 and 0", st.DiskErrors, st.DiskEntries)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"runtime"
 	"sync"
 	"time"
@@ -240,6 +241,16 @@ func (s *Service) Stats() StatsSnapshot {
 	return s.st.snapshot(s.cache.len(), diskEntries, s.cfg.Workers)
 }
 
+// persist appends a computed response to the disk tier. A failed write
+// (an oversize record, a full disk, a closed segment) leaves the
+// response served from memory only; it is counted in DiskErrors, and
+// the first one is logged.
+func (s *Service) persist(key hashKey, resp []byte) {
+	if err := s.disk.put(key, resp); err != nil && s.st.diskErrors.Add(1) == 1 {
+		log.Printf("caftd: disk tier write failed (later failures are only counted in diskErrors): %v", err)
+	}
+}
+
 func (s *Service) worker() {
 	defer s.wg.Done()
 	sc := newScratch()
@@ -258,7 +269,7 @@ func (s *Service) worker() {
 				close(j.e.done)
 				s.cache.markDone(j.key, j.e)
 				if s.disk != nil {
-					s.disk.put(j.key, j.e.resp)
+					s.persist(j.key, j.e.resp)
 				}
 			}
 			s.admit.release()

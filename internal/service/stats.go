@@ -18,6 +18,7 @@ type stats struct {
 	hits          atomic.Int64
 	misses        atomic.Int64
 	diskHits      atomic.Int64
+	diskErrors    atomic.Int64
 	shed          atomic.Int64
 	forwards      atomic.Int64
 	forwardErrors atomic.Int64
@@ -53,6 +54,10 @@ type StatsSnapshot struct {
 	// disk tier — keys absent from memory (restart, eviction) whose
 	// bytes were read back instead of recomputed.
 	DiskHits int64 `json:"diskHits"`
+	// DiskErrors counts computed responses the disk tier failed to
+	// persist (oversize record, write error); they are still served
+	// from memory.
+	DiskErrors int64 `json:"diskErrors"`
 	// Shed counts computes rejected by the admission gate (AdmitMax)
 	// with ErrOverloaded / HTTP 429.
 	Shed int64 `json:"shed"`
@@ -85,6 +90,7 @@ func (st *stats) snapshot(cacheEntries, diskEntries, workers int) StatsSnapshot 
 		Hits:          st.hits.Load(),
 		Misses:        st.misses.Load(),
 		DiskHits:      st.diskHits.Load(),
+		DiskErrors:    st.diskErrors.Load(),
 		Shed:          st.shed.Load(),
 		Forwards:      st.forwards.Load(),
 		ForwardErrors: st.forwardErrors.Load(),

@@ -1,7 +1,9 @@
 package caft
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"caft/internal/core"
@@ -26,6 +28,12 @@ import (
 // online engine discharges the identical constraint system through an
 // event queue, so agreement here pins the event semantics (DESIGN.md
 // S7) to the established replay semantics.
+//
+// The second input is a crash set at τ=0: for every set {a, b} of one
+// or two processors, crashed from the start with the re-mapper off,
+// the online engine must agree with sim.Replay under Options{Crashed}
+// on liveness, lost tasks and error parity, and on the start and
+// finish of every live record.
 func TestOnlineStaticEquivalence(t *testing.T) {
 	schedulers := []struct {
 		name string
@@ -73,22 +81,40 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%v/seed%d online (reschedule=%v): %v", s.name, pol, seed, opt.Reschedule, err)
 					}
+					if len(want.TasksLost) != 0 {
+						t.Fatalf("%s/%v/seed%d: static replay lost %v without failures", s.name, pol, seed, want.TasksLost)
+					}
 					compareOnlineToStatic(t, s.name, got, want)
+				}
+				for a := 0; a < plat.M; a++ {
+					for b := a; b < plat.M; b++ {
+						label := fmt.Sprintf("%s/%v/seed%d/crash{%d,%d}", s.name, pol, seed, a, b)
+						want, wantErr := sim.Replay(schedule, sim.Options{Crashed: map[int]bool{a: true, b: true}})
+						got, gotErr := eng.Run(map[int]float64{a: 0, b: 0}, online.Options{})
+						if (gotErr != nil) != (wantErr != nil) {
+							t.Fatalf("%s: online error %v, static error %v", label, gotErr, wantErr)
+						}
+						if gotErr == nil {
+							compareOnlineToStatic(t, label, got, want)
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// compareOnlineToStatic asserts a no-failure online result is
-// bit-identical to a static replay result.
+// compareOnlineToStatic asserts an online result (re-mapper off, or no
+// failures) matches a static replay of the same crash set: the same
+// lost tasks, the same liveness of every record, and bit-identical
+// start and finish times of the live ones.
 func compareOnlineToStatic(t *testing.T, label string, got *online.Result, want *sim.Result) {
 	t.Helper()
-	if len(got.TasksLost) != 0 || len(want.TasksLost) != 0 {
-		t.Fatalf("%s: lost tasks in a no-failure replay: online %v, static %v", label, got.TasksLost, want.TasksLost)
+	if !reflect.DeepEqual(got.TasksLost, want.TasksLost) {
+		t.Fatalf("%s: lost tasks: online %v, static %v", label, got.TasksLost, want.TasksLost)
 	}
 	if got.Rescheduled != 0 {
-		t.Fatalf("%s: %d reactive placements in a no-failure replay", label, got.Rescheduled)
+		t.Fatalf("%s: %d reactive placements", label, got.Rescheduled)
 	}
 	if len(got.Reps) != len(want.Reps) || len(got.Comms) != len(want.Comms) {
 		t.Fatalf("%s: shape mismatch", label)
@@ -99,7 +125,7 @@ func compareOnlineToStatic(t *testing.T, label string, got *online.Result, want 
 		}
 		for i, w := range want.Reps[task] {
 			g := got.Reps[task][i]
-			if g.Rep != w.Rep || g.Alive != w.Alive || g.Start != w.Start || g.Finish != w.Finish {
+			if g.Rep != w.Rep || g.Alive != w.Alive || (w.Alive && (g.Start != w.Start || g.Finish != w.Finish)) {
 				t.Fatalf("%s: replica (%d,%d): online {alive %v [%v,%v)}, static {alive %v [%v,%v)}",
 					label, task, w.Rep.Copy, g.Alive, g.Start, g.Finish, w.Alive, w.Start, w.Finish)
 			}
@@ -107,7 +133,7 @@ func compareOnlineToStatic(t *testing.T, label string, got *online.Result, want 
 	}
 	for i, w := range want.Comms {
 		g := got.Comms[i]
-		if g.Comm != w.Comm || g.Alive != w.Alive || g.Start != w.Start || g.Finish != w.Finish {
+		if g.Comm != w.Comm || g.Alive != w.Alive || (w.Alive && (g.Start != w.Start || g.Finish != w.Finish)) {
 			t.Fatalf("%s: comm %d: online {alive %v [%v,%v)}, static {alive %v [%v,%v)}",
 				label, i, g.Alive, g.Start, g.Finish, w.Alive, w.Start, w.Finish)
 		}
