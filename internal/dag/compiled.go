@@ -132,11 +132,6 @@ func (c *Compiled) Pred(t TaskID) (from []int32, vol []float64) {
 //caft:zeroalloc
 func (c *Compiled) InDegree(t TaskID) int { return int(c.predOff[t+1] - c.predOff[t]) }
 
-// OutDegree returns |Γ+(t)|.
-//
-//caft:zeroalloc
-func (c *Compiled) OutDegree(t TaskID) int { return int(c.succOff[t+1] - c.succOff[t]) }
-
 // TopLevelsInto computes tℓ(t) for every task into dst (which must have
 // length NumTasks) and returns it, with edge costs volume*unitDelay:
 // the length of the longest path from an entry task to t, excluding t's

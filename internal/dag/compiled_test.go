@@ -85,8 +85,8 @@ func TestCompiledMatchesDAG(t *testing.T) {
 	for task := 0; task < g.NumTasks(); task++ {
 		tid := TaskID(task)
 		sTo, sVol := c.Succ(tid)
-		if len(sTo) != g.OutDegree(tid) || c.OutDegree(tid) != g.OutDegree(tid) {
-			t.Fatalf("task %d: succ row length %d, want %d", task, len(sTo), g.OutDegree(tid))
+		if len(sTo) != len(g.Succ(tid)) || len(sVol) != len(sTo) {
+			t.Fatalf("task %d: succ row lengths %d/%d, want %d", task, len(sTo), len(sVol), len(g.Succ(tid)))
 		}
 		for k, e := range g.Succ(tid) {
 			if TaskID(sTo[k]) != e.To || sVol[k] != e.Volume {

@@ -127,11 +127,6 @@ func (g *DAG) Pred(t TaskID) []Edge { return g.pred[t] }
 //caft:zeroalloc
 func (g *DAG) InDegree(t TaskID) int { return len(g.pred[t]) }
 
-// OutDegree returns |Γ+(t)|.
-//
-//caft:zeroalloc
-func (g *DAG) OutDegree(t TaskID) int { return len(g.succ[t]) }
-
 // Entries returns the entry tasks (no predecessors) in ID order.
 func (g *DAG) Entries() []TaskID {
 	var out []TaskID

@@ -25,11 +25,11 @@ func TestAddTaskAndEdgeCounts(t *testing.T) {
 	if g.NumEdges() != 4 {
 		t.Fatalf("NumEdges = %d, want 4", g.NumEdges())
 	}
-	if g.OutDegree(0) != 2 || g.InDegree(0) != 0 {
-		t.Errorf("task 0 degrees = out %d in %d, want 2, 0", g.OutDegree(0), g.InDegree(0))
+	if len(g.Succ(0)) != 2 || g.InDegree(0) != 0 {
+		t.Errorf("task 0 degrees = out %d in %d, want 2, 0", len(g.Succ(0)), g.InDegree(0))
 	}
-	if g.InDegree(3) != 2 || g.OutDegree(3) != 0 {
-		t.Errorf("task 3 degrees = in %d out %d, want 2, 0", g.InDegree(3), g.OutDegree(3))
+	if g.InDegree(3) != 2 || len(g.Succ(3)) != 0 {
+		t.Errorf("task 3 degrees = in %d out %d, want 2, 0", g.InDegree(3), len(g.Succ(3)))
 	}
 }
 

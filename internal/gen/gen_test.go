@@ -28,7 +28,7 @@ func TestRandomLayeredWithinParams(t *testing.T) {
 		}
 		// Every non-entry task must have a predecessor; task 0 is entry.
 		for id := 1; id < v; id++ {
-			if g.InDegree(dag.TaskID(id)) == 0 && g.OutDegree(dag.TaskID(id)) == 0 {
+			if g.InDegree(dag.TaskID(id)) == 0 && len(g.Succ(dag.TaskID(id))) == 0 {
 				t.Fatalf("task %d isolated", id)
 			}
 		}

@@ -180,6 +180,7 @@ func NewEngine(s *sched.Schedule) (*Engine, error) {
 	}
 	e := &Engine{s: s, p: s.P, g: g, cg: cg, m: s.P.Plat.M, net: s.P.Network(), st: st}
 	e.macro = s.P.Model == sched.MacroDataflow
+	e.nRes = 3*e.m + sched.LinkResources(e.net)
 	e.body = func() error { return e.exec() }
 	// The compiled view's topological index is read-only here; aliasing
 	// is safe because the engine freezes the graph at construction.
@@ -242,10 +243,7 @@ func NewEngine(s *sched.Schedule) (*Engine, error) {
 		o.nFeeds = int32(len(e.feedAdj)) - o.feedBase
 		o.resBase = int32(len(e.resIDs))
 		if !c.Intra && !e.macro {
-			e.resIDs = append(e.resIDs, int32(e.sendID(c.SrcProc)), int32(e.recvID(c.DstProc)))
-			for _, l := range e.net.Route(c.SrcProc, c.DstProc) {
-				e.resIDs = append(e.resIDs, int32(e.linkID(l)))
-			}
+			e.appendCommRes(c)
 		}
 		o.nRes = int32(len(e.resIDs)) - o.resBase
 		e.ops = append(e.ops, o)
@@ -265,7 +263,6 @@ func NewEngine(s *sched.Schedule) (*Engine, error) {
 
 	// Per-resource membership in placement (seq) order, as in
 	// sim.Replayer: the chain order is crash-independent.
-	e.nRes = 3*e.m + e.net.NumLinks()
 	e.members = make([][]int32, e.nRes)
 	for i := range e.ops {
 		o := &e.ops[i]
@@ -338,6 +335,22 @@ func (e *Engine) recvID(proc int) int { return 2*e.m + proc }
 
 //caft:zeroalloc
 func (e *Engine) linkID(l int) int { return 3*e.m + l }
+
+// appendCommRes appends the resources transfer c occupies to resIDs:
+// its send and receive ports, plus its route's links when link
+// resources are kept (sched.LinkResources). On the clique they are
+// not: link (src,dst)'s chain is a subsequence of send(src)'s and the
+// value a chain passes on never decreases, so a link token never
+// arrives later than the send token does.
+func (e *Engine) appendCommRes(c sched.Comm) {
+	e.resIDs = append(e.resIDs, int32(e.sendID(c.SrcProc)), int32(e.recvID(c.DstProc)))
+	if e.nRes == 3*e.m {
+		return
+	}
+	for _, l := range e.net.Route(c.SrcProc, c.DstProc) {
+		e.resIDs = append(e.resIDs, int32(e.linkID(l)))
+	}
+}
 
 //caft:zeroalloc
 func (e *Engine) lookup(t dag.TaskID, copy int) int32 {

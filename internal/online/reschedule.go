@@ -231,10 +231,7 @@ func (e *Engine) wire(t dag.TaskID, rep sched.Replica, newComms []sched.Comm, ta
 		o.nFeeds = int32(len(e.feedAdj)) - o.feedBase
 		o.resBase = int32(len(e.resIDs))
 		if !c.Intra && !e.macro {
-			e.resIDs = append(e.resIDs, int32(e.sendID(c.SrcProc)), int32(e.recvID(c.DstProc)))
-			for _, l := range e.net.Route(c.SrcProc, c.DstProc) {
-				e.resIDs = append(e.resIDs, int32(e.linkID(l)))
-			}
+			e.appendCommRes(c)
 		}
 		o.nRes = int32(len(e.resIDs)) - o.resBase
 		o.waits = o.nRes + 1

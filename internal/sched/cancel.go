@@ -99,11 +99,11 @@ func (st *State) CancelReplica(rep Replica) error {
 	return nil
 }
 
-// CancelComm removes a communication's send-port, receive-port and link
-// reservations. The communication record itself stays in Comms — the
-// record log is append-only (rollback truncates it), and a dead
-// transfer's record is harmless to later placements, which consult only
-// the timelines. Intra and macro-dataflow communications hold no
+// CancelComm removes a communication's send-port, receive-port and
+// (off the clique) link reservations. The communication record itself
+// stays in Comms — the record log is append-only (rollback truncates
+// it), and a dead transfer's record is harmless to later placements,
+// which consult only the timelines. Intra and macro-dataflow communications hold no
 // reservations and cancel to a no-op.
 func (st *State) CancelComm(c Comm) error {
 	if st.overlay {
@@ -133,7 +133,8 @@ func (st *State) removeReservation(id int, start, dur float64, owner int32) erro
 }
 
 // NumTimelines returns the number of resource timelines: m compute, m
-// send ports, m receive ports, then one per directed link.
+// send ports, m receive ports, then, off the clique, one per directed
+// link.
 func (st *State) NumTimelines() int { return len(st.tls) }
 
 // Timeline returns resource timeline i for inspection (validation

@@ -94,6 +94,20 @@ func (c Clique) Dur(src, dst int, volume float64) float64 {
 // MeanUnitDelay returns the platform's mean unit delay.
 func (c Clique) MeanUnitDelay() float64 { return c.Plat.MeanDelay() }
 
+// LinkResources returns how many link resources a scheduler or replay
+// keeps for net: none on the clique, every directed link otherwise. A
+// clique link (src,dst) carries only src->dst transfers, each of which
+// also occupies send(src) over the same interval, so it never delays a
+// transfer the send port lets through (DESIGN.md S1). With none kept,
+// a transfer occupies only its send and receive ports, and callers need
+// not route it.
+func LinkResources(net Network) int {
+	if _, clique := net.(Clique); clique {
+		return 0
+	}
+	return net.NumLinks()
+}
+
 // Problem bundles everything a scheduler needs: the DAG, the platform,
 // the execution-time matrix E(t,P), the communication model, the
 // timeline reservation policy and (optionally) a sparse network. A nil

@@ -9,6 +9,7 @@ import (
 	"caft/internal/gen"
 	"caft/internal/platform"
 	"caft/internal/timeline"
+	"caft/internal/topology"
 )
 
 // prob builds a problem over g with m processors, homogeneous unit
@@ -41,6 +42,20 @@ func TestCliqueNetwork(t *testing.T) {
 	}
 	if c.MeanUnitDelay() != 0.5 {
 		t.Errorf("MeanUnitDelay = %v", c.MeanUnitDelay())
+	}
+	// The clique's links are implied by the send ports (DESIGN.md S1): a
+	// state keeps 3m timelines on it, and 3m+L on a sparse network.
+	pr := prob(gen.Chain(3, 10), 3, 1)
+	if n := NewState(pr).NumTimelines(); n != 9 {
+		t.Errorf("clique state has %d timelines, want 9", n)
+	}
+	ring, err := topology.Ring(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Net = ring
+	if n := NewState(pr).NumTimelines(); n != 9+ring.NumLinks() {
+		t.Errorf("ring state has %d timelines, want %d", n, 9+ring.NumLinks())
 	}
 }
 

@@ -9,13 +9,17 @@ import (
 )
 
 // State is the mutable resource state a scheduler builds a schedule in:
-// per-processor compute, send-port and receive-port timelines plus one
-// timeline per directed network link. Schedulers simulate candidate
-// placements with ProbeReplica and commit the best one with
-// PlaceReplica.
+// per-processor compute, send-port and receive-port timelines plus, off
+// the clique, one timeline per directed network link. Schedulers
+// simulate candidate placements with ProbeReplica and commit the best
+// one with PlaceReplica.
 //
 // Timelines are stored in one flat slice: [0,m) compute, [m,2m) send
-// ports, [2m,3m) receive ports, [3m,3m+L) links.
+// ports, [2m,3m) receive ports, [3m,3m+L) links. On the clique L is 0:
+// link (src,dst) carries only src->dst transfers, each of which also
+// occupies send(src), so its timeline is a subset of the send port's and
+// never constrains a slot (DESIGN.md S1). The Validator still checks
+// every link independently.
 //
 // Probes are transactional: ProbeReplica (and the multi-step Speculate)
 // run the real placement code on the real state while a journal records
@@ -23,17 +27,17 @@ import (
 // number, and the journal is rolled back before returning — no state is
 // cloned. Under the Append policy single-shot probes take a cheaper
 // special case: a timeline's whole state under Append is its ready
-// time, so the probe runs on a flat overlay of 3m+L ready times. The
-// tests check both against a deep clone of the state.
+// time, so the probe runs on a flat overlay of one ready time per
+// timeline (3m on the clique). The tests check both against a deep
+// clone of the state.
 //
 //caft:confined
 type State struct {
 	P   *Problem
 	net Network
-	// clique is set when net is the dense Clique network, whose
-	// Route allocates a fresh one-link slice per call; commResources
-	// computes that link inline instead, keeping probes allocation-free.
-	clique bool
+	// routed is set when link timelines are kept (LinkResources > 0):
+	// transfers then also occupy their route's links.
+	routed bool
 	m      int
 	tls    []timeline.Timeline
 	Reps   [][]Replica
@@ -73,6 +77,7 @@ type State struct {
 	arrival      []float64
 	pending      []pendingComm
 	commIDs      []int
+	cursors      []int // commonSlot's per-timeline gap cursors
 
 	// Bounded-probe scratch (see Candidates): the lazily built OFT
 	// table ranking processors per task, the candidate id/score pair
@@ -117,13 +122,13 @@ type probeMark struct {
 func NewState(p *Problem) *State {
 	m := p.Plat.M
 	net := p.Network()
-	_, clique := net.(Clique)
+	links := LinkResources(net)
 	return &State{
 		P:      p,
 		net:    net,
-		clique: clique,
+		routed: links > 0,
 		m:      m,
-		tls:    make([]timeline.Timeline, 3*m+net.NumLinks()),
+		tls:    make([]timeline.Timeline, 3*m+links),
 		Reps:   make([][]Replica, p.G.NumTasks()),
 	}
 }
@@ -151,7 +156,7 @@ func (st *State) overlayForProbe() *State {
 		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
 		st.probeScratch = ps
 	}
-	ps.P, ps.net, ps.clique, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.clique, st.m, st.tls, st.Reps, st.seq
+	ps.P, ps.net, ps.routed, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.routed, st.m, st.tls, st.Reps, st.seq
 	ps.floor = st.floor
 	if st.overlay {
 		copy(ps.ready, st.ready)
@@ -225,20 +230,22 @@ func (st *State) Speculate(fn func() error) error {
 }
 
 // earliest returns the earliest start >= ready for a reservation of dur
-// on timeline id, respecting the rescheduling floor.
+// on timeline id, respecting the rescheduling floor, with the search
+// resumed from gap cursor cur (see timeline.SlotFrom; 0 starts afresh).
+// It returns the cursor to resume from; overlays ignore it.
 //
 //caft:zeroalloc
-func (st *State) earliest(id int, ready, dur float64) float64 {
+func (st *State) earliest(id, cur int, ready, dur float64) (float64, int) {
 	if ready < st.floor {
 		ready = st.floor
 	}
 	if st.overlay {
 		if r := st.ready[id]; r > ready {
-			return r
+			return r, cur
 		}
-		return ready
+		return ready, cur
 	}
-	return st.tls[id].EarliestSlot(ready, dur, st.P.Policy)
+	return st.tls[id].SlotFrom(cur, ready, dur, st.P.Policy)
 }
 
 // reserve books [start, start+dur) on timeline id, journaling the
@@ -417,15 +424,23 @@ func (st *State) FullSources(t dag.TaskID) []SourceSet {
 // length dur fits simultaneously in all the given timelines, under the
 // state's reservation policy. The fixpoint loop terminates because each
 // round either leaves the candidate unchanged (success) or strictly
-// increases it past a busy interval.
+// increases it past a busy interval. Since the candidate only grows,
+// each timeline's search resumes from the gap cursor its previous round
+// returned, so a timeline costs one search per transfer, not one per
+// round.
 //
 //caft:zeroalloc
 func (st *State) commonSlot(ready, dur float64, ids []int) float64 {
+	cur := st.cursors[:0]
+	for range ids {
+		cur = append(cur, 0)
+	}
+	st.cursors = cur
 	s := ready
 	for {
 		next := s
-		for _, id := range ids {
-			next = st.earliest(id, next, dur)
+		for k, id := range ids {
+			next, cur[k] = st.earliest(id, cur[k], next, dur)
 		}
 		if next == s {
 			return s
@@ -434,16 +449,15 @@ func (st *State) commonSlot(ready, dur float64, ids []int) float64 {
 	}
 }
 
-// commResources returns the timeline IDs a transfer src->dst occupies.
+// commResources returns the timeline IDs a transfer src->dst occupies:
+// the send and receive ports, plus the route's links off the clique.
 // The returned slice is scratch reused by the next call.
 //
 //caft:scratch
 //caft:zeroalloc
 func (st *State) commResources(src, dst int) []int {
 	ids := append(st.commIDs[:0], st.sendID(src), st.recvID(dst))
-	if st.clique {
-		ids = append(ids, st.linkID(src*st.m+dst))
-	} else {
+	if st.routed {
 		for _, l := range st.net.Route(src, dst) { //caft:alloc-ok topology interface call; in-tree networks return a cached route
 			ids = append(ids, st.linkID(l))
 		}
@@ -600,7 +614,7 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 	}
 	st.arrival = arrival
 	exec := st.P.Exec[t][proc]
-	start := st.earliest(st.computeID(proc), ready, exec)
+	start, _ := st.earliest(st.computeID(proc), 0, ready, exec)
 	st.seq++
 	rep := Replica{Task: t, Copy: copy, Proc: proc, Start: start, Finish: start + exec, Seq: st.seq}
 	st.reserve(st.computeID(proc), start, exec, rep.Seq)

@@ -137,10 +137,13 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 	// Static per-resource membership in placement (seq) order. Chains of
 	// surviving ops are derived per replay by skipping dead members, which
 	// is equivalent to sorting the survivors — placement order is
-	// crash-independent.
+	// crash-independent. On the clique there are no link chains
+	// (sched.LinkResources): link (src,dst)'s chain is a subsequence of
+	// send(src)'s, and finish times never decrease along a chain, so a
+	// link edge never binds.
 	m := s.P.Plat.M
 	net := s.P.Network()
-	nLinks := net.NumLinks()
+	nLinks := sched.LinkResources(net)
 	r.resSeq = make([][]int32, 3*m+nLinks)
 	compute := r.resSeq[0:m]
 	send := r.resSeq[m : 2*m]
@@ -157,6 +160,9 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 			}
 			send[o.comm.SrcProc] = append(send[o.comm.SrcProc], int32(i))
 			recv[o.comm.DstProc] = append(recv[o.comm.DstProc], int32(i))
+			if nLinks == 0 {
+				continue
+			}
 			for _, l := range net.Route(o.comm.SrcProc, o.comm.DstProc) {
 				link[l] = append(link[l], int32(i))
 			}

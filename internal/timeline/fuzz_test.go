@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"encoding/binary"
+	"sort"
 	"testing"
 )
 
@@ -43,12 +44,45 @@ func crossCheck(t *testing.T, tl *Timeline) {
 	}
 }
 
+// checkCursors pins the resumed slot search: for every pair of probe
+// ready times r <= r' (fixed points plus every reservation boundary),
+// SlotFrom resumed at r' from the cursor a fresh search returned at r
+// must give the fresh search's answer at r', cursor included; under
+// Append the cursor passes through unchanged.
+func checkCursors(t *testing.T, tl *Timeline) {
+	t.Helper()
+	readies := []float64{0, 1, 7.5, 33, 100, 250}
+	for _, iv := range tl.Intervals() {
+		readies = append(readies, iv.Start, iv.End)
+	}
+	sort.Float64s(readies)
+	for _, dur := range []float64{0, 1, 5, 31} {
+		for i, r := range readies {
+			_, cur := tl.SlotFrom(0, r, dur, Insertion)
+			for _, r2 := range readies[i:] {
+				want, wantCur := tl.SlotFrom(0, r2, dur, Insertion)
+				if got := tl.EarliestSlot(r2, dur, Insertion); got != want {
+					t.Fatalf("EarliestSlot(%v, %v) = %v, SlotFrom from 0 says %v", r2, dur, got, want)
+				}
+				if got, gotCur := tl.SlotFrom(cur, r2, dur, Insertion); got != want || gotCur != wantCur {
+					t.Fatalf("SlotFrom(cursor %d from ready %v, %v, %v) = (%v, %d), fresh search (%v, %d)",
+						cur, r, r2, dur, got, gotCur, want, wantCur)
+				}
+			}
+			if got, gotCur := tl.SlotFrom(cur, r, dur, Append); got != tl.EarliestSlot(r, dur, Append) || gotCur != cur {
+				t.Fatalf("SlotFrom(%d, %v, %v, append) = (%v, %d), want (%v, %d)", cur, r, dur, got, gotCur, tl.EarliestSlot(r, dur, Append), cur)
+			}
+		}
+	}
+}
+
 // FuzzTimelineOps drives a Timeline with a fuzzer-chosen sequence of
 // EarliestSlot/Add/Remove/UndoAdd operations and checks that the
 // interval set never becomes inconsistent, that found slots are
 // honored, and — the Remove-heavy cross-check — that the incrementally
 // maintained gap index always answers exactly like a timeline rebuilt
-// from scratch from the surviving intervals.
+// from scratch from the surviving intervals, and that a search resumed
+// from any earlier cursor answers like a fresh one (checkCursors).
 func FuzzTimelineOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 128, 7, 7, 7})
@@ -106,11 +140,13 @@ func FuzzTimelineOps(f *testing.F) {
 				tl.UndoAdd(u.start, u.owner, u.prevMax)
 			case 4:
 				crossCheck(t, &tl)
+				checkCursors(t, &tl)
 			}
 			if err := tl.Validate(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		crossCheck(t, &tl)
+		checkCursors(t, &tl)
 	})
 }

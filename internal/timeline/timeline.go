@@ -16,9 +16,10 @@
 //
 // Alongside the interval list the timeline maintains a gap index: the
 // sorted list of maximal free intervals between positive-length
-// reservations. EarliestSlot under the Insertion policy binary-searches
-// that index instead of scanning the full interval list, and the index
-// is kept incrementally up to date by Add, Remove and UndoAdd.
+// reservations. The Insertion slot search (SlotFrom, and EarliestSlot
+// on top of it) gallops through that index instead of scanning the full
+// interval list, and the index is kept incrementally up to date by Add,
+// Remove and UndoAdd.
 //
 // UndoAdd is the rollback half of a journaled reservation: callers that
 // probe speculatively record (start, owner, previous ready time) for
@@ -112,38 +113,75 @@ func (tl *Timeline) Ready() float64 {
 
 // EarliestSlot returns the earliest start >= ready at which a
 // reservation of length dur fits under the given policy. dur may be
-// zero, in which case ready is feasible anywhere.
+// zero, in which case ready is feasible anywhere. It is SlotFrom from
+// cursor 0.
 //
 //caft:zeroalloc
 func (tl *Timeline) EarliestSlot(ready, dur float64, pol Policy) float64 {
+	s, _ := tl.SlotFrom(0, ready, dur, pol)
+	return s
+}
+
+// SlotFrom is EarliestSlot with the Insertion gap search resumed at gap
+// cursor cur (0 searches from the first gap). It also returns the
+// cursor to resume from next: the gap the answer lies in, or the
+// number of gaps when it lies in the free tail. Every gap before that
+// cursor failed the search at ready — it ends by ready or is too short
+// for dur after it — and so fails again at any later ready, which makes
+// the returned cursor valid for every search of the same dur at a ready
+// time >= this one, as long as the timeline is not modified in between.
+// Callers that raise their candidate start monotonically (a fixpoint
+// over several timelines) thus pay one search per timeline instead of
+// one per round. Under Append the cursor is ignored and returned as is.
+//
+//caft:zeroalloc
+func (tl *Timeline) SlotFrom(cur int, ready, dur float64, pol Policy) (start float64, next int) {
 	if dur < 0 {
 		panic("timeline: negative duration")
 	}
 	if pol == Append || len(tl.ivs) == 0 {
 		if r := tl.Ready(); r > ready {
-			return r
+			return r, cur
 		}
-		return ready
+		return ready, cur
 	}
-	// Insertion: gap ends are strictly increasing, so binary-search the
-	// first gap that ends after ready and scan from there. Zero-length
-	// reservations are ordering markers, occupy no time and are absent
-	// from the index, so they neither close gaps nor push the candidate
-	// start.
-	i := sort.Search(len(tl.gaps), func(i int) bool { return tl.gaps[i].end > ready })
-	for ; i < len(tl.gaps); i++ {
-		s := tl.gaps[i].start
+	// Insertion: gap ends are strictly increasing, so find the first gap
+	// at or after cur that ends after ready — galloping from cur, then
+	// binary-searching the bracketed run — and scan from there.
+	// Zero-length reservations are ordering markers, occupy no time and
+	// are absent from the index, so they neither close gaps nor push the
+	// candidate start.
+	gaps := tl.gaps
+	n := len(gaps)
+	lo, hi := cur, cur
+	for step := 1; hi < n && gaps[hi].end <= ready; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	if hi > n {
+		hi = n
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if gaps[mid].end <= ready {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for i := lo; i < n; i++ {
+		s := gaps[i].start
 		if ready > s {
 			s = ready
 		}
-		if s+dur <= tl.gaps[i].end {
-			return s
+		if s+dur <= gaps[i].end {
+			return s, i
 		}
 	}
 	if ready > tl.posEnd {
-		return ready
+		return ready, n
 	}
-	return tl.posEnd
+	return tl.posEnd, n
 }
 
 // Add reserves [start, start+dur) for owner. It returns an error if the

@@ -233,6 +233,34 @@ func TestQuickGapIndexMatchesScan(t *testing.T) {
 	}
 }
 
+// Property: on timelines with hundreds of gaps, a monotone chain of
+// searches that resumes each from the previous one's cursor — the way
+// sched's commonSlot fixpoint calls it — returns exactly the fresh
+// search's start and cursor at every step, however far each step jumps.
+func TestQuickSlotFromChainMatchesFresh(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tl := randomTimeline(rng, 600)
+		dur := rng.Float64() * 4
+		ready, cur := 0.0, 0
+		for step := 0; step < 60; step++ {
+			ready += rng.ExpFloat64() * float64(1+rng.Intn(8))
+			want, wantCur := tl.SlotFrom(0, ready, dur, Insertion)
+			got, gotCur := tl.SlotFrom(cur, ready, dur, Insertion)
+			if got != want || gotCur != wantCur || want != referenceEarliestInsertion(tl, ready, dur) {
+				t.Logf("step %d: SlotFrom(%d, %v, %v) = (%v, %d), fresh (%v, %d), scan %v",
+					step, cur, ready, dur, got, gotCur, want, wantCur, referenceEarliestInsertion(tl, ready, dur))
+				return false
+			}
+			ready, cur = got, gotCur
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: a journaled batch of Adds followed by UndoAdds in reverse
 // order restores the timeline bit for bit — intervals, ready time and
 // gap index.
